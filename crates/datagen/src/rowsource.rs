@@ -11,9 +11,9 @@
 //! eager-sized memory).
 
 use crate::dataset::{Attribute, Dataset};
-use crate::io::CsvError;
+use crate::io::{CsvDecoder, CsvError};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
+use std::io::{self, BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 /// Default number of rows per block for the buffered adapters.
@@ -198,18 +198,13 @@ impl RowSource for DatasetSource {
 /// record, blank lines skipped) through a buffered reader, holding at
 /// most one block of rows resident. Rewinds by seeking back to the
 /// first data byte, so a fit's two passes never materialize the file.
-///
-/// Validation is identical to the eager reader, byte for byte: the same
-/// malformed-input conditions are rejected with the same 1-based line
-/// numbers and reasons.
+/// It shares the eager reader's decoder, and so its errors: the same
+/// 1-based line numbers and reasons.
 #[derive(Debug)]
 pub struct CsvFileSource {
-    reader: BufReader<File>,
-    attributes: Vec<Attribute>,
+    decoder: CsvDecoder<BufReader<File>>,
     block_rows: usize,
     data_offset: u64,
-    next_line: usize,
-    line_buf: String,
 }
 
 impl CsvFileSource {
@@ -223,55 +218,19 @@ impl CsvFileSource {
         path: impl AsRef<Path>,
         block_rows: usize,
     ) -> Result<Self, SourceError> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(SourceError::Malformed {
-                line: 1,
-                reason: "empty file".into(),
-            });
-        }
-        trim_newline(&mut header);
-        let mut attributes = Vec::new();
-        for field in header.split(',') {
-            let (name, domain) = field
-                .rsplit_once(':')
-                .ok_or_else(|| SourceError::Malformed {
-                    line: 1,
-                    reason: format!("header field `{field}` missing `:domain`"),
-                })?;
-            let domain: usize = domain.parse().map_err(|_| SourceError::Malformed {
-                line: 1,
-                reason: format!("bad domain in `{field}`"),
-            })?;
-            attributes.push(Attribute::new(name, domain));
-        }
-        let data_offset = reader.stream_position()?;
+        let mut decoder = CsvDecoder::new(BufReader::new(File::open(path)?))?;
+        let data_offset = decoder.reader.stream_position()?;
         Ok(Self {
-            reader,
-            attributes,
+            decoder,
             block_rows: block_rows.max(1),
             data_offset,
-            next_line: 2,
-            line_buf: String::new(),
         })
-    }
-}
-
-/// Strips one trailing `\n` (and a preceding `\r`, if any) in place —
-/// the same normalization `BufRead::lines` applies.
-fn trim_newline(s: &mut String) {
-    if s.ends_with('\n') {
-        s.pop();
-        if s.ends_with('\r') {
-            s.pop();
-        }
     }
 }
 
 impl RowSource for CsvFileSource {
     fn attributes(&self) -> &[Attribute] {
-        &self.attributes
+        &self.decoder.attributes
     }
 
     fn rewindable(&self) -> bool {
@@ -279,61 +238,15 @@ impl RowSource for CsvFileSource {
     }
 
     fn next_block(&mut self) -> Result<Option<Block>, SourceError> {
-        let m = self.attributes.len();
-        let mut columns: Vec<Vec<u32>> = vec![Vec::with_capacity(self.block_rows); m];
-        let mut rows = 0;
-        while rows < self.block_rows {
-            self.line_buf.clear();
-            if self.reader.read_line(&mut self.line_buf)? == 0 {
-                break;
-            }
-            let line = self.next_line;
-            self.next_line += 1;
-            trim_newline(&mut self.line_buf);
-            if self.line_buf.is_empty() {
-                continue;
-            }
-            let mut count = 0;
-            for (j, field) in self.line_buf.split(',').enumerate() {
-                if j >= m {
-                    return Err(SourceError::Malformed {
-                        line,
-                        reason: "too many fields".into(),
-                    });
-                }
-                let v: u32 = field.parse().map_err(|_| SourceError::Malformed {
-                    line,
-                    reason: format!("bad value `{field}`"),
-                })?;
-                if v as usize >= self.attributes[j].domain {
-                    return Err(SourceError::Malformed {
-                        line,
-                        reason: format!(
-                            "value {v} outside domain {} of {}",
-                            self.attributes[j].domain, self.attributes[j].name
-                        ),
-                    });
-                }
-                columns[j].push(v);
-                count += 1;
-            }
-            if count != m {
-                return Err(SourceError::Malformed {
-                    line,
-                    reason: format!("expected {m} fields, got {count}"),
-                });
-            }
-            rows += 1;
-        }
-        if rows == 0 {
-            return Ok(None);
-        }
-        Ok(Some(Block::new(columns)))
+        let columns = self.decoder.read_block(self.block_rows)?;
+        Ok((!columns[0].is_empty()).then(|| Block::new(columns)))
     }
 
     fn rewind(&mut self) -> Result<(), SourceError> {
-        self.reader.seek(SeekFrom::Start(self.data_offset))?;
-        self.next_line = 2;
+        self.decoder
+            .reader
+            .seek(SeekFrom::Start(self.data_offset))?;
+        self.decoder.line_no = 1;
         Ok(())
     }
 }
@@ -398,21 +311,35 @@ mod tests {
     fn csv_source_rejects_what_the_eager_reader_rejects() {
         let dir = std::env::temp_dir().join(format!("rowsource-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // (file contents, expected line) — the same cases io.rs pins,
-        // plus a blank line before the error to exercise line counting.
-        let cases = [
-            ("", 1usize),
-            ("justaname\n", 1),
-            ("a:nope\n", 1),
-            ("a:4\n7\n", 2),
-            ("a:4,b:4\n1,2\n\n3\n", 4),
-            ("a:4\n1,2\n", 2),
-            ("a:4\nx\n", 2),
+        // (file contents, expected line, expected reason) — the same cases
+        // io.rs pins, a blank line before an error to exercise line
+        // counting, and the byte-level edges of the field grammar.
+        let cases: [(&[u8], usize, &str); 14] = [
+            (b"", 1, "empty file"),
+            (
+                b"justaname\n",
+                1,
+                "header field `justaname` missing `:domain`",
+            ),
+            (b"a:nope\n", 1, "bad domain in `a:nope`"),
+            (b"a:4\n7\n", 2, "value 7 outside domain 4 of a"),
+            (b"a:4,b:4\n1,2\n\n3\n", 4, "expected 2 fields, got 1"),
+            (b"a:4\n1,2\n", 2, "too many fields"),
+            (b"a:4\nx\n", 2, "bad value `x`"),
+            (b"a:4\n-1\n", 2, "bad value `-1`"),
+            (b"a:4,b:4\n1,,2\n", 2, "bad value ``"),
+            (b"a:4,b:4\n1,2,\n", 2, "too many fields"),
+            (b"a:4\n 1\n", 2, "bad value ` 1`"),
+            (b"a:4\n4294967296\n", 2, "bad value `4294967296`"),
+            // A lone `\r` is only stripped before `\n`, as `BufRead::lines`.
+            (b"a:4\n1\r", 2, "bad value `1\r`"),
+            // Non-UTF-8 data bytes are a bad value on their line.
+            (b"a:4\n1\n\xff2\n", 3, "bad value `\u{fffd}2`"),
         ];
-        for (i, (contents, want_line)) in cases.iter().enumerate() {
+        for (i, (contents, want_line, want_reason)) in cases.iter().enumerate() {
             let path = dir.join(format!("bad{i}.csv"));
             std::fs::write(&path, contents).unwrap();
-            let eager_err = read_csv(contents.as_bytes()).unwrap_err();
+            let eager_err = read_csv(*contents).unwrap_err();
             let streamed = CsvFileSource::open(&path).and_then(|mut s| {
                 while s.next_block()?.is_some() {}
                 Ok(())
@@ -429,22 +356,34 @@ mod tests {
                     assert_eq!(line, eline, "case {i}");
                     assert_eq!(reason, ereason, "case {i}");
                     assert_eq!(line, want_line, "case {i}");
+                    assert_eq!(reason, want_reason, "case {i}");
                 }
                 other => panic!("case {i}: unexpected errors {other:?}"),
             }
             std::fs::remove_file(&path).unwrap();
         }
-    }
 
-    #[test]
-    fn blank_lines_are_skipped_across_block_boundaries() {
-        let dir = std::env::temp_dir().join(format!("rowsource-blank-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blank.csv");
-        std::fs::write(&path, "a:4\n1\n\n2\n\n\n3\n").unwrap();
-        let mut s = CsvFileSource::open_with_block_rows(&path, 1).unwrap();
-        assert_eq!(drain(&mut s), vec![vec![1, 2, 3]]);
-        std::fs::remove_file(&path).unwrap();
+        // ...and accepts what it accepts, at every block size: CRLF line
+        // ends, a last line without a newline, `+7` (as `str::parse`
+        // takes it) and blank lines falling on block boundaries.
+        let accepted: [(&[u8], Vec<Vec<u32>>); 4] = [
+            (b"a:4,b:9\r\n1,2\r\n3,0\r\n", vec![vec![1, 3], vec![2, 0]]),
+            (b"a:4\n1\n2", vec![vec![1, 2]]),
+            (b"a:8\n+7\n007\n", vec![vec![7, 7]]),
+            (b"a:4\n1\n\n2\r\n\r\n\n3\n\n", vec![vec![1, 2, 3]]),
+        ];
+        for (i, (contents, want)) in accepted.iter().enumerate() {
+            let eager = read_csv(*contents).unwrap();
+            assert_eq!(eager.columns(), &want[..], "accepted case {i}");
+            let path = dir.join(format!("good{i}.csv"));
+            std::fs::write(&path, contents).unwrap();
+            for block_rows in [1, 2, 8192] {
+                let mut s = CsvFileSource::open_with_block_rows(&path, block_rows).unwrap();
+                assert_eq!(s.attributes(), eager.attributes(), "accepted case {i}");
+                assert_eq!(drain(&mut s), eager.columns(), "accepted case {i}");
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -776,21 +776,61 @@ fn handle_sample(req: &Request, state: &ServerState) -> Response {
             body.push_str(&quote(&a.name));
         }
         body.push_str("],\"rows\":[");
-        for r in 0..rows as usize {
-            if r > 0 {
-                body.push(',');
-            }
-            body.push('[');
-            for (j, col) in columns.iter().enumerate() {
-                if j > 0 {
-                    body.push(',');
-                }
-                body.push_str(&col[r].to_string());
-            }
-            body.push(']');
+        // A CSV record line `a,b,c` spells the JSON row `[a,b,c]`, so the
+        // rows come from the shared CSV encoder. Blank names keep the
+        // header it emits (and `JsonRows` drops) on a single line.
+        let unnamed = attributes
+            .iter()
+            .map(|a| datagen::Attribute::new("", a.domain))
+            .collect();
+        let dataset = datagen::Dataset::new(unnamed, columns);
+        let mut body = body.into_bytes();
+        body.push(b'[');
+        let mut rows_out = JsonRows {
+            out: &mut body,
+            in_header: true,
+        };
+        if let Err(e) = datagen::io::write_csv(&dataset, &mut rows_out) {
+            return Response::error(500, &format!("encoding json: {e}"), &[]);
         }
-        body.push_str("]}\n");
-        Response::json(200, body)
+        // Every record ended in `],[`: drop the row opened after the last.
+        body.truncate(body.len() - if rows > 0 { 2 } else { 1 });
+        body.extend_from_slice(b"]}\n");
+        Response {
+            body,
+            ..Response::json(200, String::new())
+        }
+    }
+}
+
+/// Re-spells a `write_csv` stream as JSON rows: drops the header line
+/// and turns each record's `\n` into `],[`.
+struct JsonRows<'a> {
+    out: &'a mut Vec<u8>,
+    in_header: bool,
+}
+
+impl std::io::Write for JsonRows<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut data = buf;
+        if self.in_header {
+            match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => data = &buf[i + 1..],
+                None => return Ok(buf.len()),
+            }
+            self.in_header = false;
+        }
+        for (k, piece) in data.split(|&b| b == b'\n').enumerate() {
+            if k > 0 {
+                self.out.extend_from_slice(b"],[");
+            }
+            self.out.extend_from_slice(piece);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

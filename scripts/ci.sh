@@ -59,6 +59,17 @@ echo "    fast profile draws a stream distinct from reference"
 diff "$SMOKE/fast-served.csv" "$SMOKE/fast-a.csv"
 echo "    fast served rows are byte-identical to in-process fast synthesis"
 
+echo "==> CSV byte pins: exports vs digests of the per-cell encoder"
+# Every in-process comparison above moves together with write_csv, so
+# none would catch a change of format. These digests were recorded from
+# the per-cell `to_string` encoder that preceded the byte-level codec.
+sha256sum --check --quiet <<PINS
+ece9393bd5448fc59b6df71347eb31444048ec10547ef6768140139eb4ffbf58  $SMOKE/census.csv
+a05e6d9d22b3ba7a78e48db134c0e6ed02e1ff2bbfb78b8b2ff347755b1c3b50  $SMOKE/served.csv
+eef9387514f9d7689c43a0e61cf6bf1acfdd65ac9dfd341b075bb32d2cde12b1  $SMOKE/fast-served.csv
+PINS
+echo "    gen, reference and fast exports match their pinned digests"
+
 echo "==> distfit tier: fit-shard x4 + merge vs fit --shards 4 (byte identity)"
 # Split the census CSV at the global shard boundaries (first rows%N
 # shards take one extra row, like shard_specs), fit each part in its own

@@ -174,19 +174,28 @@ fn http_sample_window_is_byte_identical_to_in_process_sampling() {
     // The fitted attribute names round-tripped into the CSV header.
     assert!(in_process.starts_with(b"age:5,income:4,region:3\n"));
 
-    // JSON format serves the same rows.
+    // JSON format serves the same rows, byte for byte as this oracle
+    // renders them cell by cell. The window spans several of the CSV
+    // encoder's output slabs.
     let (status, json_rows) = http(
         server.addr,
         "POST",
         "/v1/sample",
-        br#"{"model":"census","offset":1000,"rows":1,"format":"json"}"#,
+        br#"{"model":"census","offset":1000,"rows":30000,"format":"json"}"#,
     );
     assert_eq!(status, 200);
-    let text = String::from_utf8(json_rows).unwrap();
-    assert!(
-        text.starts_with("{\"columns\":[\"age\",\"income\",\"region\"],\"rows\":[["),
-        "{text}"
+    let columns = model.try_sample_range(1000, 30000, 3).unwrap();
+    let rows: Vec<String> = (0..30000)
+        .map(|r| {
+            let cells: Vec<String> = columns.iter().map(|c| c[r].to_string()).collect();
+            format!("[{}]", cells.join(","))
+        })
+        .collect();
+    let expected = format!(
+        "{{\"columns\":[\"age\",\"income\",\"region\"],\"rows\":[{}]}}\n",
+        rows.join(",")
     );
+    assert_eq!(String::from_utf8(json_rows).unwrap(), expected);
 }
 
 #[test]
